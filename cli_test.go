@@ -95,6 +95,23 @@ func TestCLIPipeline(t *testing.T) {
 	}
 }
 
+// TestCLIAsmGoldenImage pins image format v1: lbp-asm's output for
+// testdata/hello.s is byte-identical to testdata/hello.img, so images
+// and result-cache entries written by earlier builds stay valid.
+func TestCLIAsmGoldenImage(t *testing.T) {
+	if testing.Short() {
+		t.Skip("short mode: builds lbp-asm")
+	}
+	lbpasm := buildTool(t, t.TempDir(), "lbp-asm")
+	want, err := os.ReadFile("testdata/hello.img")
+	if err != nil {
+		t.Fatal(err)
+	}
+	if got := runTool(t, lbpasm, "testdata/hello.s"); got != string(want) {
+		t.Errorf("lbp-asm testdata/hello.s:\n%s\nwant testdata/hello.img:\n%s", got, want)
+	}
+}
+
 func digestLine(t *testing.T, out string) string {
 	t.Helper()
 	for _, l := range strings.Split(out, "\n") {

@@ -146,6 +146,7 @@ type assembler struct {
 	segs    []Segment
 	curSeg  *Segment
 	liSize  map[int]int // line -> instruction count decided in pass 1
+	ops     []string    // operand buffer reused across statements
 }
 
 func (a *assembler) reset() {
@@ -284,7 +285,8 @@ func (a *assembler) doDirective(l line, text string) error {
 		if !a.inData {
 			return a.errf(l, ".word only supported in .data")
 		}
-		for _, f := range splitOperands(rest) {
+		a.ops = splitOperands(a.ops[:0], rest)
+		for _, f := range a.ops {
 			v, err := a.evalInst(l, f)
 			if err != nil {
 				return err
@@ -303,7 +305,7 @@ func (a *assembler) doDirective(l line, text string) error {
 			a.emitDataWord(0)
 		}
 	case ".fill":
-		parts := splitOperands(rest)
+		parts := splitOperands(nil, rest)
 		if len(parts) != 2 {
 			return a.errf(l, ".fill wants count, value")
 		}
@@ -351,9 +353,9 @@ func (a *assembler) closeSegments() []Segment {
 	return a.segs
 }
 
-// splitOperands splits on commas that are not inside parentheses.
-func splitOperands(s string) []string {
-	var out []string
+// splitOperands appends to out the operands of s, split on commas that
+// are not inside parentheses.
+func splitOperands(out []string, s string) []string {
 	depth := 0
 	start := 0
 	for i, c := range s {

@@ -10,6 +10,20 @@ import (
 // errForward marks a pass-1 failure to resolve a not-yet-defined symbol.
 var errForward = errors.New("forward reference")
 
+// forwardRef is the pass-1 error for a not-yet-defined symbol. Pass 1
+// meets one for every forward branch and data reference, so it is only
+// formatted when a caller reports it.
+type forwardRef struct {
+	line int
+	name string
+}
+
+func (e *forwardRef) Error() string {
+	return fmt.Sprintf("asm: line %d: symbol %q: %v", e.line, e.name, errForward)
+}
+
+func (e *forwardRef) Unwrap() error { return errForward }
+
 // evalInst evaluates an instruction operand. In pass 1, forward references
 // evaluate to 0 (the layout does not depend on them); in pass 2 they are
 // errors if still undefined.
@@ -235,7 +249,7 @@ func (p *exprParser) parseUnary() (int64, error) {
 		return int64(v), nil
 	}
 	if !p.a.pass2 {
-		return 0, fmt.Errorf("asm: line %d: symbol %q: %w", p.l.num, name, errForward)
+		return 0, &forwardRef{line: p.l.num, name: name}
 	}
 	return 0, p.a.errf(p.l, "undefined symbol %q", name)
 }

@@ -1,10 +1,9 @@
 package asm
 
 import (
-	"bufio"
 	"fmt"
 	"io"
-	"strings"
+	"strconv"
 )
 
 // Program image serialization: a simple line-oriented text format so that
@@ -17,115 +16,226 @@ import (
 //	seg <addr-hex> <nwords>
 //	<words...>
 //	sym <name> <hex>
+//
+// Words are written eight to a line. The reader treats every run of
+// ASCII whitespace alike, so any re-wrapping of what WriteImage emits
+// reads back as the same program; hex fields are 1 to 8 digits of either
+// case and counts are unsigned decimal.
 
 // WriteImage serializes the program.
 func (p *Program) WriteImage(w io.Writer) error {
-	bw := bufio.NewWriter(w)
-	fmt.Fprintf(bw, "lbpimage 1\n")
-	fmt.Fprintf(bw, "entry %08x\n", p.Entry)
-	fmt.Fprintf(bw, "text %08x %d\n", p.TextBase, len(p.Text))
-	writeWords(bw, p.Text)
+	n := 64 + 9*len(p.Text)
 	for _, s := range p.Segments {
-		fmt.Fprintf(bw, "seg %08x %d\n", s.Addr, len(s.Words))
-		writeWords(bw, s.Words)
+		n += 32 + 9*len(s.Words)
 	}
-	for _, name := range p.SymbolsSorted() {
-		fmt.Fprintf(bw, "sym %s %08x\n", name, p.Symbols[name])
+	names := p.SymbolsSorted()
+	for _, name := range names {
+		n += 14 + len(name)
 	}
-	return bw.Flush()
+	b := make([]byte, 0, n)
+	b = append(b, "lbpimage 1\nentry "...)
+	b = appendHex8(b, p.Entry)
+	b = append(b, "\ntext "...)
+	b = appendHex8(b, p.TextBase)
+	b = append(b, ' ')
+	b = strconv.AppendInt(b, int64(len(p.Text)), 10)
+	b = append(b, '\n')
+	b = appendWords(b, p.Text)
+	for _, s := range p.Segments {
+		b = append(b, "seg "...)
+		b = appendHex8(b, s.Addr)
+		b = append(b, ' ')
+		b = strconv.AppendInt(b, int64(len(s.Words)), 10)
+		b = append(b, '\n')
+		b = appendWords(b, s.Words)
+	}
+	for _, name := range names {
+		b = append(b, "sym "...)
+		b = append(b, name...)
+		b = append(b, ' ')
+		b = appendHex8(b, p.Symbols[name])
+		b = append(b, '\n')
+	}
+	_, err := w.Write(b)
+	return err
 }
 
-func writeWords(w io.Writer, words []uint32) {
+const hexDigits = "0123456789abcdef"
+
+// appendHex8 appends v as exactly eight lower-case hex digits (%08x).
+func appendHex8(b []byte, v uint32) []byte {
+	return append(b,
+		hexDigits[v>>28], hexDigits[v>>24&0xf], hexDigits[v>>20&0xf], hexDigits[v>>16&0xf],
+		hexDigits[v>>12&0xf], hexDigits[v>>8&0xf], hexDigits[v>>4&0xf], hexDigits[v&0xf])
+}
+
+// appendWords appends words eight to a line, space separated.
+func appendWords(b []byte, words []uint32) []byte {
 	for i, v := range words {
+		b = appendHex8(b, v)
 		if i%8 == 7 || i == len(words)-1 {
-			fmt.Fprintf(w, "%08x\n", v)
+			b = append(b, '\n')
 		} else {
-			fmt.Fprintf(w, "%08x ", v)
+			b = append(b, ' ')
 		}
 	}
+	return b
 }
 
-// ReadImage parses a serialized program.
+// ReadImage parses a serialized program. Every record's field count,
+// every hex field and every word count is checked before use, and a
+// word count is bounded by the input left to hold it, so no input can
+// panic the reader or make it allocate more than the input implies.
 func ReadImage(r io.Reader) (*Program, error) {
-	sc := bufio.NewScanner(r)
-	sc.Buffer(make([]byte, 1<<20), 1<<24)
-	var fields []string
-	next := func() bool {
-		for sc.Scan() {
-			line := strings.TrimSpace(sc.Text())
-			if line == "" {
-				continue
-			}
-			fields = strings.Fields(line)
-			return true
-		}
-		return false
+	buf, err := io.ReadAll(r)
+	if err != nil {
+		return nil, fmt.Errorf("asm: reading image: %w", err)
 	}
-	if !next() || len(fields) != 2 || fields[0] != "lbpimage" || fields[1] != "1" {
+	d := imageDecoder{buf: buf}
+	if string(d.field()) != "lbpimage" || string(d.field()) != "1" {
 		return nil, fmt.Errorf("asm: not an lbpimage v1 file")
 	}
 	p := &Program{Symbols: map[string]uint32{}}
-	readWords := func(n int) ([]uint32, error) {
-		out := make([]uint32, 0, n)
-		for len(out) < n {
-			if !next() {
-				return nil, fmt.Errorf("asm: truncated image (want %d words, got %d)", n, len(out))
-			}
-			for _, f := range fields {
-				var v uint32
-				if _, err := fmt.Sscanf(f, "%x", &v); err != nil {
-					return nil, fmt.Errorf("asm: bad word %q", f)
-				}
-				out = append(out, v)
-			}
-		}
-		if len(out) != n {
-			return nil, fmt.Errorf("asm: word count mismatch: %d vs %d", len(out), n)
-		}
-		return out, nil
-	}
-	for next() {
-		switch fields[0] {
+	for {
+		rec := d.field()
+		switch string(rec) {
+		case "":
+			return p, nil
 		case "entry":
-			if _, err := fmt.Sscanf(fields[1], "%x", &p.Entry); err != nil {
+			if p.Entry, err = d.hex("entry"); err != nil {
 				return nil, err
 			}
 		case "text":
-			var n int
-			if _, err := fmt.Sscanf(fields[1], "%x", &p.TextBase); err != nil {
+			if p.TextBase, err = d.hex("text"); err != nil {
 				return nil, err
 			}
-			if _, err := fmt.Sscanf(fields[2], "%d", &n); err != nil {
+			if p.Text, err = d.words("text"); err != nil {
 				return nil, err
 			}
-			words, err := readWords(n)
-			if err != nil {
-				return nil, err
-			}
-			p.Text = words
 		case "seg":
-			var addr uint32
-			var n int
-			if _, err := fmt.Sscanf(fields[1], "%x", &addr); err != nil {
+			var s Segment
+			if s.Addr, err = d.hex("seg"); err != nil {
 				return nil, err
 			}
-			if _, err := fmt.Sscanf(fields[2], "%d", &n); err != nil {
+			if s.Words, err = d.words("seg"); err != nil {
 				return nil, err
 			}
-			words, err := readWords(n)
+			p.Segments = append(p.Segments, s)
+		case "sym":
+			name := string(d.field())
+			if name == "" {
+				return nil, fmt.Errorf("asm: sym record: missing name")
+			}
+			v, err := d.hex("sym")
 			if err != nil {
 				return nil, err
 			}
-			p.Segments = append(p.Segments, Segment{Addr: addr, Words: words})
-		case "sym":
-			var v uint32
-			if _, err := fmt.Sscanf(fields[2], "%x", &v); err != nil {
-				return nil, err
-			}
-			p.Symbols[fields[1]] = v
+			p.Symbols[name] = v
 		default:
-			return nil, fmt.Errorf("asm: unknown image record %q", fields[0])
+			return nil, fmt.Errorf("asm: unknown image record %q", truncate(string(rec)))
 		}
 	}
-	return p, nil
+}
+
+// imageDecoder is a cursor over a whole image in memory.
+type imageDecoder struct {
+	buf []byte
+	pos int
+}
+
+func isSpace(c byte) bool {
+	return c == ' ' || c == '\n' || c == '\t' || c == '\r' || c == '\v' || c == '\f'
+}
+
+// field returns the next whitespace-delimited field as a slice of the
+// input, empty at end of input.
+func (d *imageDecoder) field() []byte {
+	for d.pos < len(d.buf) && isSpace(d.buf[d.pos]) {
+		d.pos++
+	}
+	start := d.pos
+	for d.pos < len(d.buf) && !isSpace(d.buf[d.pos]) {
+		d.pos++
+	}
+	return d.buf[start:d.pos]
+}
+
+// hex parses the next field as a 1-8 digit hex number.
+func (d *imageDecoder) hex(rec string) (uint32, error) {
+	f := d.field()
+	v, ok := parseHex32(f)
+	if !ok {
+		if len(f) == 0 {
+			return 0, fmt.Errorf("asm: %s record: missing field", rec)
+		}
+		return 0, fmt.Errorf("asm: %s record: bad hex field %q", rec, truncate(string(f)))
+	}
+	return v, nil
+}
+
+// words parses a decimal word count and then that many hex words. The
+// count is checked against the remaining input (each word takes at
+// least one digit and one separator) before anything is allocated.
+func (d *imageDecoder) words(rec string) ([]uint32, error) {
+	f := d.field()
+	if len(f) == 0 {
+		return nil, fmt.Errorf("asm: %s record: missing word count", rec)
+	}
+	n := 0
+	for _, c := range f {
+		if c < '0' || c > '9' || n > len(d.buf) {
+			return nil, fmt.Errorf("asm: %s record: bad word count %q", rec, truncate(string(f)))
+		}
+		n = n*10 + int(c-'0')
+	}
+	if n > (len(d.buf)-d.pos)/2 {
+		return nil, fmt.Errorf("asm: truncated image (%s record wants %d words, input has room for %d)",
+			rec, n, (len(d.buf)-d.pos)/2)
+	}
+	if n == 0 {
+		return nil, nil // as assembled: an empty section has no slice
+	}
+	out := make([]uint32, n)
+	for i := range out {
+		f := d.field()
+		v, ok := parseHex32(f)
+		if !ok {
+			if len(f) == 0 {
+				return nil, fmt.Errorf("asm: truncated image (want %d words, got %d)", n, i)
+			}
+			return nil, fmt.Errorf("asm: bad word %q", truncate(string(f)))
+		}
+		out[i] = v
+	}
+	return out, nil
+}
+
+// parseHex32 parses 1 to 8 hex digits of either case, nothing else.
+func parseHex32(f []byte) (uint32, bool) {
+	if len(f) == 0 || len(f) > 8 {
+		return 0, false
+	}
+	var v uint32
+	for _, c := range f {
+		switch {
+		case c >= '0' && c <= '9':
+			c -= '0'
+		case c >= 'a' && c <= 'f':
+			c -= 'a' - 10
+		case c >= 'A' && c <= 'F':
+			c -= 'A' - 10
+		default:
+			return 0, false
+		}
+		v = v<<4 | uint32(c)
+	}
+	return v, true
+}
+
+// truncate bounds a hostile field echoed into an error message.
+func truncate(s string) string {
+	if len(s) > 32 {
+		return s[:32] + "..."
+	}
+	return s
 }

@@ -6,11 +6,39 @@ import (
 	"repro/internal/isa"
 )
 
+// instOps maps the mnemonics of the table-driven families of doInst
+// (branches, loads, stores, op-imm and op) to their opcodes. The
+// swapped-operand (bgt, ...) and against-zero (beqz, ...) branch pseudos
+// map to the base branch they expand to.
+var instOps = map[string]isa.Op{
+	"beq": isa.OpBEQ, "bne": isa.OpBNE, "blt": isa.OpBLT,
+	"bge": isa.OpBGE, "bltu": isa.OpBLTU, "bgeu": isa.OpBGEU,
+
+	"bgt": isa.OpBLT, "ble": isa.OpBGE, "bgtu": isa.OpBLTU, "bleu": isa.OpBGEU,
+
+	"beqz": isa.OpBEQ, "bnez": isa.OpBNE, "bltz": isa.OpBLT, "bgez": isa.OpBGE,
+
+	"lb": isa.OpLB, "lh": isa.OpLH, "lw": isa.OpLW, "lbu": isa.OpLBU, "lhu": isa.OpLHU,
+
+	"sb": isa.OpSB, "sh": isa.OpSH, "sw": isa.OpSW,
+
+	"addi": isa.OpADDI, "slti": isa.OpSLTI, "sltiu": isa.OpSLTIU,
+	"xori": isa.OpXORI, "ori": isa.OpORI, "andi": isa.OpANDI,
+	"slli": isa.OpSLLI, "srli": isa.OpSRLI, "srai": isa.OpSRAI,
+
+	"add": isa.OpADD, "sub": isa.OpSUB, "sll": isa.OpSLL, "slt": isa.OpSLT,
+	"sltu": isa.OpSLTU, "xor": isa.OpXOR, "srl": isa.OpSRL, "sra": isa.OpSRA,
+	"or": isa.OpOR, "and": isa.OpAND, "mul": isa.OpMUL, "mulh": isa.OpMULH,
+	"mulhsu": isa.OpMULHSU, "mulhu": isa.OpMULHU, "div": isa.OpDIV,
+	"divu": isa.OpDIVU, "rem": isa.OpREM, "remu": isa.OpREMU,
+}
+
 // doInst assembles one instruction or pseudo-instruction statement.
 func (a *assembler) doInst(l line, text string) error {
 	mn, rest, _ := strings.Cut(text, " ")
 	mn = strings.ToLower(strings.TrimSpace(mn))
-	ops := splitOperands(strings.TrimSpace(rest))
+	a.ops = splitOperands(a.ops[:0], strings.TrimSpace(rest))
+	ops := a.ops
 
 	emit := func(in isa.Inst) error {
 		word, err := isa.Encode(in)
@@ -204,8 +232,7 @@ func (a *assembler) doInst(l line, text string) error {
 		if err != nil {
 			return err
 		}
-		op := map[string]isa.Op{"beq": isa.OpBEQ, "bne": isa.OpBNE, "blt": isa.OpBLT,
-			"bge": isa.OpBGE, "bltu": isa.OpBLTU, "bgeu": isa.OpBGEU}[mn]
+		op := instOps[mn]
 		return emit(isa.Inst{Op: op, Rs1: rs1, Rs2: rs2, Imm: off})
 	case "bgt", "ble", "bgtu", "bleu": // swapped-operand pseudos
 		if err := nargs(3); err != nil {
@@ -223,8 +250,7 @@ func (a *assembler) doInst(l line, text string) error {
 		if err != nil {
 			return err
 		}
-		op := map[string]isa.Op{"bgt": isa.OpBLT, "ble": isa.OpBGE,
-			"bgtu": isa.OpBLTU, "bleu": isa.OpBGEU}[mn]
+		op := instOps[mn]
 		return emit(isa.Inst{Op: op, Rs1: rs2, Rs2: rs1, Imm: off})
 	case "beqz", "bnez", "bltz", "bgez":
 		if err := nargs(2); err != nil {
@@ -238,8 +264,7 @@ func (a *assembler) doInst(l line, text string) error {
 		if err != nil {
 			return err
 		}
-		op := map[string]isa.Op{"beqz": isa.OpBEQ, "bnez": isa.OpBNE,
-			"bltz": isa.OpBLT, "bgez": isa.OpBGE}[mn]
+		op := instOps[mn]
 		return emit(isa.Inst{Op: op, Rs1: rs1, Rs2: 0, Imm: off})
 	case "blez", "bgtz":
 		if err := nargs(2); err != nil {
@@ -273,8 +298,7 @@ func (a *assembler) doInst(l line, text string) error {
 		if err != nil {
 			return err
 		}
-		op := map[string]isa.Op{"lb": isa.OpLB, "lh": isa.OpLH, "lw": isa.OpLW,
-			"lbu": isa.OpLBU, "lhu": isa.OpLHU}[mn]
+		op := instOps[mn]
 		return emit(isa.Inst{Op: op, Rd: rd, Rs1: rs1, Imm: int32(off)})
 	case "sb", "sh", "sw":
 		if err := nargs(2); err != nil {
@@ -288,7 +312,7 @@ func (a *assembler) doInst(l line, text string) error {
 		if err != nil {
 			return err
 		}
-		op := map[string]isa.Op{"sb": isa.OpSB, "sh": isa.OpSH, "sw": isa.OpSW}[mn]
+		op := instOps[mn]
 		return emit(isa.Inst{Op: op, Rs1: rs1, Rs2: rs2, Imm: int32(off)})
 
 	// ---- op-imm
@@ -308,10 +332,7 @@ func (a *assembler) doInst(l line, text string) error {
 		if err != nil {
 			return err
 		}
-		op := map[string]isa.Op{"addi": isa.OpADDI, "slti": isa.OpSLTI,
-			"sltiu": isa.OpSLTIU, "xori": isa.OpXORI, "ori": isa.OpORI,
-			"andi": isa.OpANDI, "slli": isa.OpSLLI, "srli": isa.OpSRLI,
-			"srai": isa.OpSRAI}[mn]
+		op := instOps[mn]
 		return emit(isa.Inst{Op: op, Rd: rd, Rs1: rs1, Imm: int32(v)})
 
 	// ---- op
@@ -332,13 +353,7 @@ func (a *assembler) doInst(l line, text string) error {
 		if err != nil {
 			return err
 		}
-		op := map[string]isa.Op{"add": isa.OpADD, "sub": isa.OpSUB,
-			"sll": isa.OpSLL, "slt": isa.OpSLT, "sltu": isa.OpSLTU,
-			"xor": isa.OpXOR, "srl": isa.OpSRL, "sra": isa.OpSRA,
-			"or": isa.OpOR, "and": isa.OpAND, "mul": isa.OpMUL,
-			"mulh": isa.OpMULH, "mulhsu": isa.OpMULHSU, "mulhu": isa.OpMULHU,
-			"div": isa.OpDIV, "divu": isa.OpDIVU, "rem": isa.OpREM,
-			"remu": isa.OpREMU}[mn]
+		op := instOps[mn]
 		return emit(isa.Inst{Op: op, Rd: rd, Rs1: rs1, Rs2: rs2})
 
 	// ---- simple pseudos
@@ -582,8 +597,10 @@ func (a *assembler) expandLoadImm(l line, mn string, rd uint8, expr string) erro
 	}
 	if !a.pass2 {
 		size := 2
-		if v, err := a.eval(l, expr); err == nil && v >= -2048 && v <= 2047 && mn == "li" {
-			size = 1
+		if mn == "li" {
+			if v, err := a.eval(l, expr); err == nil && v >= -2048 && v <= 2047 {
+				size = 1
+			}
 		}
 		a.liSize[l.num] = size
 		a.pc += uint32(4 * size)

@@ -23,6 +23,8 @@ type instLine struct {
 	mn   string
 	ops  []string
 	memB string // base register of a memory operand, "" if none
+	dest string // destination register, "" if none
+	ctl  bool   // mn ends a peephole window (controlMn)
 }
 
 func parseLine(l string) instLine {
@@ -34,7 +36,11 @@ func parseLine(l string) instLine {
 	}
 	mn, rest, _ := strings.Cut(t, " ")
 	il.mn = mn
-	for _, f := range strings.Split(rest, ",") {
+	il.ctl = controlMn[mn]
+	il.ops = make([]string, 0, 3)
+	for rest != "" {
+		var f string
+		f, rest, _ = strings.Cut(rest, ",")
 		f = strings.TrimSpace(f)
 		if f == "" {
 			continue
@@ -45,6 +51,9 @@ func parseLine(l string) instLine {
 			continue
 		}
 		il.ops = append(il.ops, f)
+	}
+	if writesDest(mn) && len(il.ops) > 0 {
+		il.dest = il.ops[0]
 	}
 	return il
 }
@@ -72,21 +81,13 @@ func writesDest(mn string) bool {
 	return true
 }
 
-// destOf returns the destination register of a line ("" if none).
-func (il *instLine) destOf() string {
-	if il.mn == "" || !writesDest(il.mn) || len(il.ops) == 0 {
-		return ""
-	}
-	return il.ops[0]
-}
-
 // usesReg reports whether the line reads register r.
 func (il *instLine) usesReg(r string) bool {
 	if il.memB == r {
 		return true
 	}
 	start := 0
-	if il.destOf() != "" {
+	if il.dest != "" {
 		start = 1
 	}
 	for i := start; i < len(il.ops); i++ {
@@ -113,7 +114,7 @@ func (il *instLine) substReg(from, to string) string {
 	t := strings.TrimSpace(il.raw)
 	mn, rest, _ := strings.Cut(t, " ")
 	parts := strings.Split(rest, ",")
-	dest := il.destOf()
+	dest := il.dest
 	first := true
 	for i := range parts {
 		p := strings.TrimSpace(parts[i])
@@ -145,53 +146,61 @@ func isTempReg(r string) bool {
 	return r == scratch
 }
 
-// peephole applies the two rewrites until a fixed point (bounded).
+// peephole applies the two rewrites until a fixed point (bounded). Each
+// line is parsed once; a pass re-parses only the lines it rewrites.
 func peephole(lines []string) []string {
+	cur := make([]instLine, len(lines))
+	for i, l := range lines {
+		cur[i] = parseLine(l)
+	}
+	next := make([]instLine, 0, len(lines)) // passes only ever shrink the body
 	for pass := 0; pass < 4; pass++ {
-		changed := false
-		lines, changed = peepholeOnce(lines)
+		var changed bool
+		next, changed = peepholeOnce(next[:0], cur)
+		cur, next = next, cur
 		if !changed {
-			return lines
+			break
 		}
 	}
-	return lines
+	out := make([]string, len(cur))
+	for i := range cur {
+		out[i] = cur[i].raw
+	}
+	return out
 }
 
-func peepholeOnce(lines []string) ([]string, bool) {
-	parsed := make([]instLine, len(lines))
-	for i, l := range lines {
-		parsed[i] = parseLine(l)
-	}
+// peepholeOnce appends one rewritten pass over parsed to out.
+func peepholeOnce(out, parsed []instLine) ([]instLine, bool) {
 	changed := false
-	var out []string
-	for i := 0; i < len(lines); i++ {
-		il := parsed[i]
+	for i := 0; i < len(parsed); i++ {
+		il := &parsed[i]
 		// rewrite 1: forward copy propagation of "mv X, Y"
 		if il.mn == "mv" && len(il.ops) == 2 && isTempReg(il.ops[0]) {
 			x, y := il.ops[0], il.ops[1]
-			if newLines, ok := tryForwardProp(parsed, i, x, y); ok {
-				out = append(out, newLines...)
-				i += len(newLines) // consumed i+1 .. i+len(newLines)
+			n := len(out)
+			var ok bool
+			if out, ok = tryForwardProp(out, parsed, i, x, y); ok {
+				i += len(out) - n // consumed i+1 .. i+len(out)-n
 				changed = true
 				continue
 			}
 		}
 		// rewrite 2: "op X, ..." ; "mv D, X" with X dead after
-		if d := il.destOf(); d != "" && isTempReg(d) && i+1 < len(lines) {
-			nx := parsed[i+1]
+		if d := il.dest; d != "" && isTempReg(d) && i+1 < len(parsed) {
+			nx := &parsed[i+1]
 			// sources are read before the destination is written, so the
 			// destination may alias a source of il. A statement boundary
 			// only proves d dead when the copy lands outside the temp set
 			// (temp-to-temp copies — dupTop — keep d live as a stack entry).
 			if nx.mn == "mv" && len(nx.ops) == 2 && nx.ops[1] == d && nx.ops[0] != d &&
 				deadAfter(parsed, i+2, d, !isTempReg(nx.ops[0])) {
-				out = append(out, il.substDest(nx.ops[0]))
+				out = append(out, parseLine(il.substDest(nx.ops[0])))
 				i++ // skip the mv
 				changed = true
 				continue
 			}
 		}
-		out = append(out, lines[i])
+		out = append(out, *il)
 	}
 	return out, changed
 }
@@ -224,10 +233,10 @@ func deadAfter(parsed []instLine, i int, r string, allowBoundary bool) bool {
 		if il.usesReg(r) {
 			return false // branches and calls read their sources first
 		}
-		if il.mn == "" || controlMn[il.mn] {
+		if il.mn == "" || il.ctl {
 			return allowBoundary
 		}
-		if il.destOf() == r {
+		if il.dest == r {
 			return true
 		}
 	}
@@ -235,36 +244,37 @@ func deadAfter(parsed []instLine, i int, r string, allowBoundary bool) bool {
 }
 
 // tryForwardProp attempts rewrite 1 at the mv on index i. On success it
-// returns the replacement lines covering indexes i..end (mv removed).
-func tryForwardProp(parsed []instLine, i int, x, y string) ([]string, bool) {
-	var repl []string
+// appends the replacement lines covering indexes i+1..end (mv removed)
+// to out; on failure it returns out unchanged.
+func tryForwardProp(out, parsed []instLine, i int, x, y string) ([]instLine, bool) {
+	n := len(out)
 	for j := i + 1; j < len(parsed) && j <= i+peepholeWindow; j++ {
-		il := parsed[j]
-		line := il.raw
-		if il.usesReg(x) {
-			line = il.substReg(x, y)
-		}
+		il := &parsed[j]
 		if il.mn == "" {
-			return nil, false // label: conservative (x may be live-in there)
+			return out[:n], false // label: conservative (x may be live-in there)
 		}
-		if controlMn[il.mn] {
-			if !il.usesReg(x) {
-				// x may carry a live value across the transfer (the
-				// ?:/&&/|| value patterns do exactly that): keep the copy
-				return nil, false
-			}
+		uses := il.usesReg(x)
+		if il.ctl && !uses {
+			// x may carry a live value across the transfer (the
+			// ?:/&&/|| value patterns do exactly that): keep the copy
+			return out[:n], false
+		}
+		if uses {
+			out = append(out, parseLine(il.substReg(x, y)))
+		} else {
+			out = append(out, *il)
+		}
+		if il.ctl {
 			// the control instruction consumes x (substituted above); a
 			// consumed temp is dead past its branch
-			repl = append(repl, line)
-			return repl, true
+			return out, true
 		}
-		repl = append(repl, line)
-		if il.destOf() == x {
-			return repl, true // x redefined: the copy is fully propagated
+		if il.dest == x {
+			return out, true // x redefined: the copy is fully propagated
 		}
-		if il.destOf() == y {
-			return nil, false // y changes while x still live
+		if il.dest == y {
+			return out[:n], false // y changes while x still live
 		}
 	}
-	return nil, false
+	return out[:n], false
 }

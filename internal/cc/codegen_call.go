@@ -3,6 +3,7 @@ package cc
 import (
 	"fmt"
 	"sort"
+	"strconv"
 )
 
 // genCall generates a function call or builtin. Reports whether a result
@@ -246,7 +247,7 @@ func (g *codegen) emitGlobal(d *VarDecl) error {
 	switch {
 	case d.Init != nil:
 		v, _ := foldConst(d.Init)
-		g.out.WriteString(fmt.Sprintf("\t.word %d\n", int32(v)))
+		g.out.WriteString("\t.word " + strconv.Itoa(int(int32(v))) + "\n")
 	case d.List != nil:
 		// expand entries into a dense image
 		n := d.Type.Len
@@ -270,7 +271,7 @@ func (g *codegen) emitGlobal(d *VarDecl) error {
 				g.out.WriteString(fmt.Sprintf("\t.fill %d, %d\n", j-i, int32(vals[i])))
 			} else {
 				for k := i; k < j; k++ {
-					g.out.WriteString(fmt.Sprintf("\t.word %d\n", int32(vals[k])))
+					g.out.WriteString("\t.word " + strconv.Itoa(int(int32(vals[k]))) + "\n")
 				}
 			}
 			i = j

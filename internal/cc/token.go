@@ -231,7 +231,7 @@ func (l *lexer) rawToken() (Token, error) {
 		return Token{Kind: TNum, Num: v, Line: line, Col: col}, nil
 	}
 	for _, p := range puncts {
-		if strings.HasPrefix(l.src[l.pos:], p) {
+		if p[0] == c && strings.HasPrefix(l.src[l.pos:], p) {
 			for range p {
 				l.advance()
 			}

@@ -93,6 +93,7 @@ type Metrics struct {
 	Migrations  uint64 // retries that resumed from a streamed checkpoint
 	Steals      uint64 // jobs run by a non-affine backend to balance load
 	Checkpoints uint64 // streamed checkpoints received
+	Panics      uint64 // jobs a worker answered after containing a panic
 	BackendsUp  int    // backends with a live connection right now
 }
 
@@ -168,6 +169,7 @@ type Coordinator struct {
 	migrations  atomic.Uint64
 	steals      atomic.Uint64
 	checkpoints atomic.Uint64
+	panics      atomic.Uint64
 }
 
 // New builds a coordinator over the configured backends and starts its
@@ -254,6 +256,7 @@ func (c *Coordinator) Metrics() Metrics {
 		Migrations:  c.migrations.Load(),
 		Steals:      c.steals.Load(),
 		Checkpoints: c.checkpoints.Load(),
+		Panics:      c.panics.Load(),
 		BackendsUp:  up,
 	}
 }
@@ -445,6 +448,9 @@ func (c *Coordinator) runOn(b *backend, p *pending) {
 	switch {
 	case err == nil:
 		res.Worker = b.addr
+		if res.Panicked {
+			c.panics.Add(1)
+		}
 		if job.Checkpoint != nil && attempt > 1 {
 			c.migrations.Add(1)
 		}

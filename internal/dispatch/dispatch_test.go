@@ -6,6 +6,7 @@ import (
 	"errors"
 	"fmt"
 	"net"
+	"strings"
 	"sync"
 	"testing"
 	"time"
@@ -397,6 +398,54 @@ func TestMachineLeakAccounting(t *testing.T) {
 	// Every returned machine is actually in the pool, idle.
 	if idle := w.pool.Idle(); idle == 0 {
 		t.Error("no idle machines pooled after returns")
+	}
+}
+
+// TestWorkerContainsJobPanic: a job that panics inside the worker
+// answers StatusError and bumps the panic counters; the worker process
+// survives to run the next job, and the panicked job's machine is
+// discarded rather than pooled, keeping the accounting balanced.
+func TestWorkerContainsJobPanic(t *testing.T) {
+	ln, err := net.Listen("tcp", "127.0.0.1:0")
+	if err != nil {
+		t.Fatal(err)
+	}
+	w := NewWorker(WorkerConfig{Slice: 1024})
+	w.beforeRun = func(job *Job) {
+		if job.ID == "panic" {
+			panic("injected")
+		}
+	}
+	go w.Serve(ln)
+	defer w.Close()
+	c, err := New(Config{Backends: []string{ln.Addr().String()}})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer c.Close()
+
+	quick := imageOf(t, quickSource)
+	res, err := c.Do(context.Background(), &Job{ID: "panic", Image: quick, Cores: 1, MaxCycles: 1_000_000})
+	if err != nil {
+		t.Fatalf("panicking job: %v", err)
+	}
+	if res.Status != StatusError || !res.Panicked || !strings.Contains(res.Error, "injected") {
+		t.Errorf("panicking job answered %+v", res)
+	}
+	res, err = c.Do(context.Background(), &Job{ID: "after", Image: quick, Cores: 1, MaxCycles: 1_000_000})
+	if err != nil || res.Status != StatusOK {
+		t.Fatalf("job after the panic: %v / %+v", err, res)
+	}
+
+	m := w.Metrics()
+	if m.Panics != 1 || m.Completed != 1 || m.Errored != 0 {
+		t.Errorf("outcome counters off: %+v", m)
+	}
+	if m.CheckedOut != 2 || m.PoolDiscarded != 1 || m.PoolReturned != 1 || m.MachinesOut != 0 {
+		t.Errorf("machine accounting off: %+v", m)
+	}
+	if cm := c.Metrics(); cm.Panics != 1 || cm.Completed != 2 {
+		t.Errorf("coordinator metrics off: %+v", cm)
 	}
 }
 

@@ -110,9 +110,10 @@ type Result struct {
 	Mem  *mem.Stats     `json:"mem,omitempty"`
 	Perf *perf.Snapshot `json:"perf,omitempty"`
 
-	Worker   string `json:"worker,omitempty"`  // address that produced the result
-	PoolWarm bool   `json:"poolWarm"`          // served by a warm pooled machine
-	Resumed  bool   `json:"resumed,omitempty"` // ran from a migrated checkpoint
+	Worker   string `json:"worker,omitempty"`   // address that produced the result
+	PoolWarm bool   `json:"poolWarm"`           // served by a warm pooled machine
+	Resumed  bool   `json:"resumed,omitempty"`  // ran from a migrated checkpoint
+	Panicked bool   `json:"panicked,omitempty"` // the worker contained a panic (Status is StatusError)
 }
 
 // CheckpointNote is the payload of a MethodCheckpoint notification.

@@ -56,11 +56,12 @@ type WorkerMetrics struct {
 	Canceled  uint64
 	Deadline  uint64
 	Errored   uint64 // machine fault or budget exceeded
+	Panics    uint64 // jobs that panicked inside the worker (answered StatusError)
 	Resumed   uint64 // jobs that started from a migrated checkpoint
 
 	CheckedOut    uint64 // machines obtained (pool checkout or checkpoint restore)
 	PoolReturned  uint64 // machines handed back to the warm pool
-	PoolDiscarded uint64 // machines that cannot be pooled (restored from a checkpoint)
+	PoolDiscarded uint64 // machines that cannot be pooled (restored from a checkpoint, or held by a panicked job)
 	MachinesOut   int64  // machines currently held by running jobs
 
 	CheckpointsStreamed uint64
@@ -77,10 +78,15 @@ type Worker struct {
 	mu      sync.Mutex
 	running map[string]context.CancelFunc
 
+	// beforeRun, when set (by tests, before Serve), is called with
+	// every job once its machine is checked out.
+	beforeRun func(*Job)
+
 	completed  atomic.Uint64
 	canceled   atomic.Uint64
 	deadline   atomic.Uint64
 	errored    atomic.Uint64
+	panics     atomic.Uint64
 	resumed    atomic.Uint64
 	checkedOut atomic.Uint64
 	returned   atomic.Uint64
@@ -113,6 +119,7 @@ func (w *Worker) Metrics() WorkerMetrics {
 		Canceled:            w.canceled.Load(),
 		Deadline:            w.deadline.Load(),
 		Errored:             w.errored.Load(),
+		Panics:              w.panics.Load(),
 		Resumed:             w.resumed.Load(),
 		CheckedOut:          w.checkedOut.Load(),
 		PoolReturned:        w.returned.Load(),
@@ -151,7 +158,7 @@ func (w *Worker) ServeRPC(ctx context.Context, conn *rpc.ServerConn, method stri
 				return int64(len(w.running))
 			}(),
 			Completed: w.completed.Load() + w.canceled.Load() +
-				w.deadline.Load() + w.errored.Load(),
+				w.deadline.Load() + w.errored.Load() + w.panics.Load(),
 			MachinesOut: w.out.Load(),
 		}, nil
 	}
@@ -213,11 +220,12 @@ func (w *Worker) checkout(job *Job) (sess *sim.Session, warm, resumed bool, err 
 }
 
 // release accounts one job's machine back in: pooled sessions return
-// to the warm pool, checkpoint-restored ones cannot be pooled (their
-// Spec has no program to reset to) and are discarded — but always
-// through exactly one of the two counters, so machines never leak.
-func (w *Worker) release(sess *sim.Session, resumed bool) {
-	if resumed {
+// to the warm pool; checkpoint-restored ones cannot be pooled (their
+// Spec has no program to reset to) and ones a panic left in an unknown
+// state must not be, so both are discarded — but always through exactly
+// one of the two counters, so machines never leak.
+func (w *Worker) release(sess *sim.Session, discard bool) {
+	if discard {
 		w.discarded.Add(1)
 	} else {
 		w.pool.Put(sess)
@@ -227,9 +235,17 @@ func (w *Worker) release(sess *sim.Session, resumed bool) {
 }
 
 // run executes one job. Every exit path — clean finish, fault, budget,
-// deadline, coordinator cancel, connection death — releases the
-// machine through the same accounting.
-func (w *Worker) run(ctx context.Context, conn *rpc.ServerConn, job *Job) (*Result, error) {
+// deadline, coordinator cancel, connection death, a panic — releases
+// the machine through the same accounting. A panic is contained to its
+// job: it answers StatusError instead of killing the worker process.
+func (w *Worker) run(ctx context.Context, conn *rpc.ServerConn, job *Job) (out *Result, err error) {
+	defer func() {
+		if p := recover(); p != nil {
+			w.panics.Add(1)
+			out, err = &Result{Status: StatusError, Panicked: true,
+				Error: fmt.Sprintf("internal error: job panicked: %v", p)}, nil
+		}
+	}()
 	runCtx, stop := context.WithCancel(ctx)
 	defer stop()
 	unregister := w.register(job.ID, stop)
@@ -241,7 +257,11 @@ func (w *Worker) run(ctx context.Context, conn *rpc.ServerConn, job *Job) (*Resu
 	}
 	w.checkedOut.Add(1)
 	w.out.Add(1)
-	defer w.release(sess, resumed)
+	finished := false
+	defer func() { w.release(sess, resumed || !finished) }()
+	if w.beforeRun != nil {
+		w.beforeRun(job)
+	}
 
 	deadlineCtx := runCtx
 	if job.DeadlineMs > 0 {
@@ -275,7 +295,7 @@ func (w *Worker) run(ctx context.Context, conn *rpc.ServerConn, job *Job) (*Resu
 		return nil
 	})
 
-	out := &Result{PoolWarm: warm, Resumed: resumed}
+	out = &Result{PoolWarm: warm, Resumed: resumed}
 	switch {
 	case err == nil:
 		w.completed.Add(1)
@@ -296,6 +316,7 @@ func (w *Worker) run(ctx context.Context, conn *rpc.ServerConn, job *Job) (*Resu
 		out.Status = StatusError
 		out.Error = err.Error()
 	}
+	finished = true
 	return out, nil
 }
 

@@ -222,12 +222,20 @@ var RegNames = [32]string{
 	"s8", "s9", "s10", "s11", "t3", "t4", "t5", "t6",
 }
 
+// regByName indexes RegNames plus the frame-pointer alias "fp".
+var regByName = func() map[string]uint8 {
+	m := make(map[string]uint8, len(RegNames)+1)
+	for i, n := range RegNames {
+		m[n] = uint8(i)
+	}
+	m["fp"] = 8
+	return m
+}()
+
 // RegByName maps an ABI or numeric register name to its number.
 func RegByName(name string) (uint8, bool) {
-	for i, n := range RegNames {
-		if n == name {
-			return uint8(i), true
-		}
+	if r, ok := regByName[name]; ok {
+		return r, true
 	}
 	if len(name) >= 2 && name[0] == 'x' {
 		n := 0
@@ -235,14 +243,11 @@ func RegByName(name string) (uint8, bool) {
 			if c < '0' || c > '9' {
 				return 0, false
 			}
-			n = n*10 + int(c-'0')
+			if n = n*10 + int(c-'0'); n >= 32 {
+				return 0, false
+			}
 		}
-		if n < 32 {
-			return uint8(n), true
-		}
-	}
-	if name == "fp" {
-		return 8, true
+		return uint8(n), true
 	}
 	return 0, false
 }

@@ -100,6 +100,7 @@ func writeDispatchMetrics(w io.Writer, dm dispatch.Metrics) {
 	counter("lbp_serve_dispatch_migrations_total", "Retries that resumed from a streamed checkpoint.", dm.Migrations)
 	counter("lbp_serve_dispatch_steals_total", "Jobs run by a non-affine backend to balance load.", dm.Steals)
 	counter("lbp_serve_dispatch_checkpoints_total", "Migration checkpoints streamed by workers.", dm.Checkpoints)
+	counter("lbp_serve_dispatch_worker_panics_total", "Jobs a worker answered with an error after containing a panic.", dm.Panics)
 	fmt.Fprintf(w, "# HELP lbp_serve_dispatch_backends_up Backends with a live connection.\n"+
 		"# TYPE lbp_serve_dispatch_backends_up gauge\nlbp_serve_dispatch_backends_up %d\n", dm.BackendsUp)
 }

@@ -70,6 +70,35 @@ func TestCacheKeyCanonicalization(t *testing.T) {
 	}
 }
 
+// TestCacheKeyPinned: keys are stable across builds, so a result cache
+// filled by an earlier build still hits. A change here invalidates
+// every cached result and must version the key instead.
+func TestCacheKeyPinned(t *testing.T) {
+	for _, tc := range []struct {
+		path string
+		spec Spec
+		want string
+	}{
+		{"../../testdata/hello.s", Spec{Cores: 4, MaxCycles: 10_000, Trace: TraceSpec{Digest: true}},
+			"a2abeecd162f74e85b06195855858f7425f9dd2f58133cda050c820040b2c8a3"},
+		{"../../testdata/vecsum.c", Spec{Cores: 2, Trace: TraceSpec{Digest: true, Ring: 4}, Profile: true},
+			"771b58416a2b4b22543d70c00b126fa8f5341da508405b0a116c342573b2e2f0"},
+	} {
+		prog, err := LoadFile(tc.path, tc.spec.Cores, 0)
+		if err != nil {
+			t.Fatal(err)
+		}
+		tc.spec.Program = prog
+		got, err := CacheKey(tc.spec)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if got != tc.want {
+			t.Errorf("%s: key %s, want %s", tc.path, got, tc.want)
+		}
+	}
+}
+
 // TestCacheKeyErrors: no program and device-bearing specs are not
 // addressable.
 func TestCacheKeyErrors(t *testing.T) {

@@ -134,6 +134,7 @@ done
 curl -fsS "http://$caddr/metrics" >"$smokedir/dmetrics.txt"
 grep -q '^lbp_serve_dispatch_jobs_total 5$' "$smokedir/dmetrics.txt"
 grep -q '^lbp_serve_dispatch_completed_total 5$' "$smokedir/dmetrics.txt"
+grep -q '^lbp_serve_dispatch_worker_panics_total 0$' "$smokedir/dmetrics.txt"
 kill -TERM "$coordpid"
 wait "$coordpid"
 grep -q "drained" "$smokedir/coord.log"
@@ -159,6 +160,9 @@ if [ -n "$fig" ]; then
     # Host-side interpreter throughput (cycles/s): steady-state numbers
     # from the Go microbenchmarks, for eyeballing against EXPERIMENTS E17.
     go test ./internal/lbp -run '^$' -bench 'BenchmarkMachineStep|BenchmarkFigRow|BenchmarkPhaseBCommit' -benchtime 1s
+    # Per-job front end (compile, assemble, image encode/decode), for
+    # eyeballing against EXPERIMENTS E20.
+    go test ./internal/asm ./internal/cc -run '^$' -bench 'BenchmarkReadImage|BenchmarkWriteImage|BenchmarkAssemble|BenchmarkBuildProgram' -benchmem -benchtime 1s
 fi
 
 echo "verify: OK"
